@@ -391,24 +391,29 @@ class PhaseThreePathOracle(ThreePathOracle):
 
     # -- phase machinery -----------------------------------------------------------------
     def _start_phase(
-        self, snapshots: Optional[tuple[CountMatrix, CountMatrix, CountMatrix]] = None
+        self, products: Optional[tuple[CountMatrix, CountMatrix, CountMatrix]] = None
     ) -> None:
         """Snapshot the current relations and submit their products.
 
-        ``snapshots`` lets a bulk rebuild pass in already-materialized
-        relation matrices (the jobs only read them) instead of re-walking the
-        relation dictionaries tuple by tuple.
+        ``products`` — ``(A·B, B·C, A·B·C)`` of the current relations — lets a
+        bulk rebuild that has just computed them submit them as finished
+        single-matrix jobs, so the phase re-multiplies nothing and its end
+        promotes the same matrices again.
         """
-        if snapshots is not None:
-            snapshot_a, snapshot_b, snapshot_c = snapshots
-        else:
+        if products is None:
             snapshot_a = self.relation(1).to_count_matrix()
             snapshot_b = self.relation(2).to_count_matrix()
             snapshot_c = self.relation(3).to_count_matrix()
+            chains = (
+                [snapshot_a, snapshot_b],
+                [snapshot_b, snapshot_c],
+                [snapshot_a, snapshot_b, snapshot_c],
+            )
+        else:
+            chains = tuple([product] for product in products)
         self._pending_jobs = {
-            "ab": ChainProductJob([snapshot_a, snapshot_b], name="A_old*B_old"),
-            "bc": ChainProductJob([snapshot_b, snapshot_c], name="B_old*C_old"),
-            "abc": ChainProductJob([snapshot_a, snapshot_b, snapshot_c], name="A_old*B_old*C_old"),
+            key: ChainProductJob(chain, name=name)
+            for (key, name), chain in zip(_PHASE_JOBS, chains)
         }
         self._pending_delta_a = {}
         self._pending_delta_b = {}
@@ -459,7 +464,6 @@ class PhaseThreePathOracle(ThreePathOracle):
         cube = exact_integer_matmul(square, matrix)
         n = matrix.shape[0]
         self._promote_mirrored_products(
-            CountMatrix.from_dense(matrix, labels),
             CountMatrix.from_dense(square, labels),
             CountMatrix.from_dense(cube, labels),
             work=2 * n * n * n,
@@ -480,20 +484,14 @@ class PhaseThreePathOracle(ThreePathOracle):
         """
         super().rebuild_from_mirrored_csr(graph, adjacency, labels, square)
         cube, work = self._spgemm(square, adjacency)
-        product_square = CountMatrix.from_csr(square, labels)
         self._promote_mirrored_products(
-            CountMatrix.from_csr(adjacency, labels),
-            product_square,
+            CountMatrix.from_csr(square, labels),
             CountMatrix.from_csr(cube, labels),
             work=work + spgemm_work(adjacency, adjacency),
         )
 
     def _promote_mirrored_products(
-        self,
-        adjacency: CountMatrix,
-        product_square: CountMatrix,
-        product_cube: CountMatrix,
-        work: int,
+        self, product_square: CountMatrix, product_cube: CountMatrix, work: int
     ) -> None:
         """Install freshly computed mirrored products and open a new phase."""
         self._product_ab = product_square
@@ -503,9 +501,9 @@ class PhaseThreePathOracle(ThreePathOracle):
         self._delta_b = {}
         self._delta_c_by_right = {}
         self._phases_completed += 1
-        # The pending jobs re-multiply the same snapshot; they only read the
-        # shared adjacency matrix, so one materialization serves all three.
-        self._start_phase(snapshots=(adjacency, adjacency, adjacency))
+        # The new phase's snapshot is the one just multiplied: its products
+        # enter the scheduler finished, and the phase end re-promotes them.
+        self._start_phase(products=(product_square, product_square, product_cube))
         self.cost.charge("batch_rebuild", work)
 
     def _compute_phase_length(self) -> int:
@@ -682,22 +680,11 @@ def _add_flat(store: Dict[tuple, int], key: tuple, sign: int) -> None:
 
 def _estimate_chain_cost(job: ChainProductJob) -> int:
     """A crude upper estimate of a chain job's total work (used for budgeting)."""
-    return max(1, job.operations_done) if job.is_complete else _estimate_from_matrices(job)
+    return max(1, job.operations_done) if job.is_complete else job.estimated_operations
 
 
-def _estimate_from_matrices(job: ChainProductJob) -> int:
-    total = 0
-    matrices = getattr(job, "_matrices", [])
-    previous_nnz = 0
-    for index, matrix in enumerate(matrices):
-        nnz = matrix.nnz
-        if index == 0:
-            previous_nnz = nnz
-            continue
-        total += max(previous_nnz, 1) * max(nnz, 1)
-        previous_nnz = max(previous_nnz, nnz)
-    return max(total, 1)
-
+#: The pending products of a phase: job key and diagnostic name.
+_PHASE_JOBS = (("ab", "A_old*B_old"), ("bc", "B_old*C_old"), ("abc", "A_old*B_old*C_old"))
 
 #: Shared immutable empties.
 _EMPTY_SET: frozenset = frozenset()

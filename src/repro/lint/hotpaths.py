@@ -42,4 +42,7 @@ HOT_PATHS: Tuple[Tuple[str, str], ...] = (
     ("repro/core/oracles.py", "OracleBackedCounter._apply_structure_delta"),
     # The IVM view's tuple-update path (the db-scenario twin of apply()).
     ("repro/db/ivm.py", "CyclicJoinCountView.apply"),
+    # The phase scheduler's per-update work: advanced on every oracle update.
+    ("repro/matmul/scheduler.py", "PhaseScheduler.work"),
+    ("repro/matmul/scheduler.py", "IncrementalMatrixProduct.advance"),
 )

@@ -33,7 +33,10 @@ The positional (integer-indexed) :class:`CsrMatrix` value type and the
 :func:`csr_spgemm` kernel underneath :class:`CsrBackend` are also used
 directly by the counters' batched rebuild hooks, which dispatch between the
 dense and CSR kernels through
-:class:`repro.matmul.scheduler.ProductDispatcher`.
+:class:`repro.matmul.scheduler.ProductDispatcher`, and by the phase
+scheduler's :class:`repro.matmul.scheduler.IncrementalMatrixProduct`, which
+multiplies one block of rows per call.  Both align the middle axis of a
+labelled product with :func:`middle_positions`.
 
 :class:`MatmulEngine` picks a backend (or honours an explicit choice) and
 reports the work it performed to an optional cost callback, which the
@@ -269,6 +272,25 @@ def csr_spgemm(
         num_cols=num_cols,
     )
     return product, total_work
+
+
+def middle_positions(left_columns: list, right_rows: list) -> Optional[np.ndarray]:
+    """Align the middle axis of a labelled product ``left · right``.
+
+    Returns, for every left column label, its position among the right row
+    labels (``-1`` when the right operand has no such row), or ``None`` when
+    the two label orders coincide and the positions are the identity — the
+    common case inside a product chain.  Only distinct labels are remapped,
+    never individual entries.
+    """
+    if left_columns == right_rows:
+        return None
+    right_index = {label: position for position, label in enumerate(right_rows)}
+    return np.fromiter(
+        (right_index.get(label, -1) for label in left_columns),
+        dtype=np.int64,
+        count=len(left_columns),
+    )
 
 
 @dataclass(frozen=True)
@@ -739,16 +761,11 @@ class CsrBackend:
         When the label orders coincide (the common case inside a product
         chain) the identity mapping short-circuits everything.
         """
-        if left_csr.col_order == right_csr.row_order:
+        mapping = middle_positions(left_csr.col_order, right_csr.row_order)
+        if mapping is None:
             return CsrMatrix.from_parts(
                 left_csr.indptr, left_csr.col_ids, left_csr.data, middles
             )
-        right_rows = {label: position for position, label in enumerate(right_csr.row_order)}
-        mapping = np.fromiter(
-            (right_rows.get(label, -1) for label in left_csr.col_order),
-            dtype=np.int64,
-            count=len(left_csr.col_order),
-        )
         mapped = mapping[left_csr.col_ids]
         keep = mapped >= 0
         if keep.all():

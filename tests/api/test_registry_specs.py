@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import CounterSpec, OptionSpec, available_specs, counter_spec, register_spec
+from repro.api import (
+    CounterSpec,
+    OptionSpec,
+    available_counter_names,
+    available_specs,
+    counter_spec,
+    register_spec,
+)
 from repro.core.base import DynamicFourCycleCounter
 from repro.core.wedge_counter import WedgeCounter
 from repro.exceptions import ConfigurationError
@@ -105,3 +112,21 @@ class TestImportLayering:
         )
         assert result.returncode == 0, result.stderr
         assert "assadi-shah" in result.stdout
+
+
+class TestRegistrationIsolation:
+    """The autouse fixture in ``tests/conftest.py`` undoes registrations, so a
+    spec registered by one test never leaks into the next (the two tests run
+    in definition order)."""
+
+    PROBE = "registry-leak-probe"
+
+    def test_register_inside_a_test(self):
+        register_spec(CounterSpec.from_factory(self.PROBE, WedgeCounter))
+        assert self.PROBE in available_counter_names()
+
+    def test_registration_is_gone_in_the_next_test(self):
+        names = available_counter_names()
+        assert self.PROBE not in names
+        assert "api-test-counter" not in names
+        assert set(BUILTINS).issubset(names)

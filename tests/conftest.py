@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.api import available_counter_names, counter_spec
+from repro.core import specs
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.updates import EdgeUpdate, UpdateStream
 
@@ -58,6 +59,20 @@ def random_dynamic_stream(
         live_set.add(key)
         updates.append(EdgeUpdate.insert(*key))
     return UpdateStream(updates)
+
+
+@pytest.fixture(autouse=True)
+def _restore_counter_registry():
+    """Undo every counter registration a test makes.
+
+    The spec store is process-global; without this, a spec registered by one
+    test would show up in ``available_counter_names()`` for every later test
+    (and in the experiments that sweep all registered counters).
+    """
+    saved = dict(specs._SPECS)
+    yield
+    specs._SPECS.clear()
+    specs._SPECS.update(saved)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.api import counter_spec
 from repro.core.oracles import (
     NaiveThreePathOracle,
     OracleBackedCounter,
@@ -158,3 +159,44 @@ class TestOracleBackedCounter:
         counter.insert_edge(1, 2)
         assert oracle.cost is counter.cost
         assert counter.cost.total() > 0
+
+
+class TestBulkRebuildSkipsRemultiply:
+    """A fast-path ``apply_batch`` has just multiplied the snapshot its new
+    phase starts from, so that phase's products enter the scheduler finished:
+    single updates charge no matrix work until the next phase starts, and the
+    counts stay those of a pure per-update replay."""
+
+    @pytest.mark.parametrize("backend", ("dense", "csr"))
+    @pytest.mark.parametrize("name", ("assadi-shah", "phase-fmm"))
+    def test_fast_path_then_single_updates(self, name, backend):
+        stream = list(random_dynamic_stream(num_vertices=14, num_updates=300, seed=3))
+        head, tail = stream[:120], stream[120:]
+        options = {"phase_length": 60, "backend": backend}
+        batched = counter_spec(name).create(**options)
+        replay = counter_spec(name).create(**options)
+        for update in head:
+            replay.apply(update)
+
+        batched.apply_batch(head)
+        oracle = batched.oracle
+        assert batched.cost.get("batch_rebuild") > 0, "the fast path must have run"
+        assert oracle.scheduler.all_complete()
+        assert batched.count == replay.count
+        rebuilt_phase = oracle.phases_completed
+
+        skipped_updates = 0
+        for update in tail:
+            phase = oracle.phases_completed
+            matmul_before = batched.cost.get("matmul_ops")
+            batched.apply(update)
+            replay.apply(update)
+            assert batched.count == replay.count
+            if phase == rebuilt_phase and oracle.phases_completed == rebuilt_phase:
+                assert batched.cost.get("matmul_ops") == matmul_before
+                skipped_updates += 1
+        assert skipped_updates > 0
+        # At least one rollover after the skipped phase has re-multiplied.
+        assert oracle.phases_completed >= rebuilt_phase + 2
+        assert batched.cost.get("matmul_ops") > 0
+        assert batched.is_consistent()
