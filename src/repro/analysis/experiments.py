@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.api import EngineConfig, FourCycleEngine, available_counter_names
+from repro.api import BUILTIN_COUNTER_NAMES, EngineConfig, FourCycleEngine
 from repro.db.ivm import CyclicJoinCountView
 from repro.exceptions import ConfigurationError, CounterStateError
 from repro.graph.dynamic_graph import DynamicGraph
@@ -223,7 +223,7 @@ def experiment_e4_cross_validation(
 ) -> List[CrossValidationRow]:
     """E4: every counter agrees with brute force after every update, on every
     workload of the catalogue."""
-    names = sorted(counters if counters is not None else available_counter_names())
+    names = sorted(counters if counters is not None else BUILTIN_COUNTER_NAMES)
     rows: List[CrossValidationRow] = []
     for workload_name, stream in stream_catalogue(scale=scale, seed=seed).items():
         stream = stream.prefix(updates_per_workload)
@@ -276,7 +276,7 @@ class ScalingResult:
 def experiment_e5_update_scaling(
     sizes: Sequence[int] = (16, 32, 64, 96),
     updates_per_vertex: int = 8,
-    counters: Sequence[str] = ("brute-force", "wedge", "hhh22", "phase-fmm", "assadi-shah"),
+    counters: Sequence[str] = BUILTIN_COUNTER_NAMES,
     seed: int = 0,
 ) -> ScalingResult:
     """E5: per-update operation count as the graph grows.
@@ -510,7 +510,7 @@ def experiment_e10_batch_throughput(
     batch/unbatch exactness contract, measured rather than assumed.
     """
     stream = erdos_renyi_stream(num_vertices, num_updates, seed=seed)
-    names = sorted(counters if counters is not None else available_counter_names())
+    names = sorted(counters if counters is not None else BUILTIN_COUNTER_NAMES)
     rows: List[BatchThroughputRow] = []
     for name in names:
         unbatched_seconds: Optional[float] = None

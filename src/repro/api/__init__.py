@@ -36,6 +36,7 @@ from repro.api.engine import (
     FourCycleEngine,
 )
 from repro.api.registry import (
+    BUILTIN_COUNTER_NAMES,
     CounterSpec,
     OptionSpec,
     available_counter_names,
@@ -64,6 +65,7 @@ __all__ = [
     "EVENT_PHASE_REBUILD",
     "EVENT_CHECKPOINT",
     "EVENT_EXECUTOR_DEGRADED",
+    "BUILTIN_COUNTER_NAMES",
     "CounterSpec",
     "OptionSpec",
     "register_spec",

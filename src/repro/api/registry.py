@@ -9,6 +9,7 @@ See :mod:`repro.core.specs` for the full documentation.
 from __future__ import annotations
 
 from repro.core.specs import (
+    BUILTIN_COUNTER_NAMES,
     COMMON_OPTIONS,
     CounterFactory,
     CounterSpec,
@@ -20,6 +21,7 @@ from repro.core.specs import (
 )
 
 __all__ = [
+    "BUILTIN_COUNTER_NAMES",
     "COMMON_OPTIONS",
     "CounterFactory",
     "CounterSpec",

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.oracles import OracleBackedCounter, PhaseThreePathOracle
 from repro.instrumentation.cost_model import CostModel
-from repro.matmul.engine import CountMatrix, CsrMatrix, exact_integer_matmul
+from repro.matmul.engine import CountMatrix, CsrMatrix
 from repro.theory.parameters import solve_main_parameters
 
 if TYPE_CHECKING:  # typing only; avoids a runtime import cycle
@@ -173,49 +173,31 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
             self._observe_l3(y)
         super().end_batch()
 
-    def rebuild_from_mirrored_graph(
-        self,
-        graph: "DynamicGraph",
-        matrix: np.ndarray,
-        labels: List[Vertex],
-        square: Optional[np.ndarray] = None,
-    ) -> None:
-        """Bulk mirror rebuild: phase sync plus vectorized class structures.
-
-        After the phase-oracle rebuild, the degree classes are recomputed from
-        the interned degree vector (in the mirrored reduction every middle
-        layer's combined degree is ``2 deg``) and the Eq. (12) sparse-wedge
-        structures are rebuilt as one masked dense product
-        ``A . diag(sparse) . B`` — the same quantity Claim 5.3 maintains tuple
-        by tuple — instead of replaying per-update neighborhood scans.
-        """
-        super().rebuild_from_mirrored_graph(graph, matrix, labels, square)
-        sparse_mask = self._recompute_mirrored_classes(2 * matrix.sum(axis=1), labels)
-        # A . diag(sparse) . B with A = B = adjacency; the L2 and L3 sparse
-        # sets coincide in the mirrored reduction, so one product serves both
-        # structures (as independent copies — they are mutated separately).
-        wedges = exact_integer_matmul(matrix * sparse_mask, matrix)
-        self._wedges_a_sparse_b = CountMatrix.from_dense(wedges, labels)
-        self._wedges_b_sparse_c = self._wedges_a_sparse_b.copy()
-        n = matrix.shape[0]
-        self.cost.charge("batch_rebuild", n * n * n)
-
-    def rebuild_from_mirrored_csr(
+    def rebuild_from_mirrored(
         self,
         graph: "DynamicGraph",
         adjacency: CsrMatrix,
         labels: List[Vertex],
         square: CsrMatrix,
+        square_work: int,
+        backend: str,
     ) -> None:
-        """Sparse bulk rebuild: phase sync plus SpGEMM class structures.
+        """Bulk mirror rebuild: phase sync plus the class structures.
 
-        Identical quantities to :meth:`rebuild_from_mirrored_graph` — the
-        Eq. (12) masked product becomes a column-filtered SpGEMM
-        ``(A . diag(sparse)) . A`` — with no dense ``n x n`` materialized.
+        After the phase-oracle rebuild, the degree classes are recomputed from
+        the interned degree vector (in the mirrored reduction every middle
+        layer's combined degree is ``2 deg``) and the Eq. (12) sparse-wedge
+        structures are rebuilt as one masked product
+        ``(A . diag(sparse)) . B`` (a column-filtered operand) on the
+        dispatched kernel — the same quantity Claim 5.3 maintains tuple by
+        tuple — instead of replaying per-update neighborhood scans.
         """
-        super().rebuild_from_mirrored_csr(graph, adjacency, labels, square)
+        super().rebuild_from_mirrored(graph, adjacency, labels, square, square_work, backend)
         sparse_mask = self._recompute_mirrored_classes(2 * adjacency.row_lengths(), labels)
-        wedges, work = self._spgemm(adjacency.filter_columns(sparse_mask), adjacency)
+        # A = B = adjacency; the L2 and L3 sparse sets coincide in the
+        # mirrored reduction, so one product serves both structures (as
+        # independent copies — they are mutated separately).
+        wedges, work = self._spgemm(adjacency.filter_columns(sparse_mask), adjacency, backend)
         self._wedges_a_sparse_b = CountMatrix.from_csr(wedges, labels)
         self._wedges_b_sparse_c = self._wedges_a_sparse_b.copy()
         self.cost.charge("batch_rebuild", work)

@@ -66,7 +66,7 @@ from repro.exceptions import (
     SelfLoopError,
 )
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.static_counts import count_four_cycles_trace
+from repro.graph.static_counts import count_four_cycles_trace, four_cycles_from_csr_square
 from repro.graph.updates import (
     EdgeUpdate,
     UpdateBatch,
@@ -76,7 +76,7 @@ from repro.graph.updates import (
 )
 from repro.instrumentation.cost_model import CostModel
 from repro.instrumentation.metrics import UpdateMetrics, UpdateRecord
-from repro.matmul.engine import CsrMatrix
+from repro.kernels import CsrMatrix, dense_product
 from repro.matmul.scheduler import ProductDispatcher
 from repro.matmul.sharding import ShardExecutor
 
@@ -139,14 +139,17 @@ class DynamicFourCycleCounter(abc.ABC):
         """The configured shard-parallel worker count (1 = serial kernels)."""
         return self.shard_executor.workers
 
-    def _spgemm(self, left: CsrMatrix, right: CsrMatrix) -> tuple[CsrMatrix, int]:
-        """``left @ right`` through the counter's shard executor.
+    def _spgemm(
+        self, left: CsrMatrix, right: CsrMatrix, backend: str = "csr"
+    ) -> tuple[CsrMatrix, int]:
+        """``(left @ right, work)`` on the kernel ``backend`` names.
 
-        Batch hooks route their CSR products here instead of calling
-        :func:`repro.matmul.engine.csr_spgemm` directly, so one constructor
-        knob parallelizes every rebuild.  Bit-identical to the serial kernel
-        for every worker count and policy.
+        ``"dense"`` is :func:`repro.kernels.dense_product` (work = the cube);
+        anything else goes through the counter's shard executor (work = the
+        expansion), bit-identical to the serial kernel for every worker count.
         """
+        if backend == "dense":
+            return dense_product(left, right)
         return self.shard_executor.spgemm(left, right)
 
     def _adjacency_product_decision(self):
@@ -285,8 +288,18 @@ class DynamicFourCycleCounter(abc.ABC):
         return self._count
 
     def recount(self) -> int:
-        """Recompute the 4-cycle count from scratch (for validation)."""
-        return count_four_cycles_trace(self._graph)
+        """Recompute the 4-cycle count from scratch (for validation).
+
+        The trace formula over ``A @ A`` on the dispatched kernel; the
+        ``interned=False`` scalar reference keeps the dense formula.
+        """
+        graph = self._graph
+        if not graph.is_interned:
+            return count_four_cycles_trace(graph)
+        adjacency = graph.csr_matrix()
+        backend = self._adjacency_product_decision().backend
+        square, _ = self._spgemm(adjacency, adjacency, backend)
+        return four_cycles_from_csr_square(square, adjacency.row_lengths(), graph.num_edges)
 
     def is_consistent(self) -> bool:
         """Whether the maintained count matches a from-scratch recount."""

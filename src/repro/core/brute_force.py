@@ -27,9 +27,9 @@ class BruteForceCounter(DynamicFourCycleCounter):
 
         The per-update path pays ``O(deg(u) * deg(v))`` Python-level probes per
         update; for a window it is far cheaper to mutate the graph in bulk and
-        run a single trace-formula recount (one numpy ``tr(A^4)``) at the batch
-        boundary — which is also exactly where the batch contract requires the
-        count to be exact.
+        run a single trace-formula recount (:meth:`recount`, one dispatched
+        ``A @ A``) at the batch boundary — which is also exactly where the
+        batch contract requires the count to be exact.
         """
         if len(batch) < self.batch_fast_path_threshold:
             return False

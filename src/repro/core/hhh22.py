@@ -36,11 +36,7 @@ import numpy as np
 
 from repro.core.base import DynamicFourCycleCounter
 from repro.graph.updates import UpdateBatch
-from repro.matmul.engine import (
-    CountMatrix,
-    csr_linear_combination,
-    exact_integer_matmul,
-)
+from repro.matmul.engine import CountMatrix, csr_linear_combination
 
 Vertex = Hashable
 
@@ -98,7 +94,7 @@ class HHH22Counter(DynamicFourCycleCounter):
         The per-update path pays ``O(deg^2)``-ish Python dictionary updates
         per update; for a large window it is cheaper to apply the net updates
         in bulk and rebuild every structure from the interned adjacency matrix
-        with a handful of dense products.  Exactness is preserved because the
+        with a handful of matrix products.  Exactness is preserved because the
         rebuild recomputes classes and structures from scratch (the hysteresis
         band makes class *timing* a pure performance concern) and the count is
         taken from the full wedge matrix, which is exact at the batch boundary
@@ -125,61 +121,15 @@ class HHH22Counter(DynamicFourCycleCounter):
           degenerate walks that reuse an endpoint (inclusion–exclusion over
           ``a = y`` and ``b = x``), diagonal zeroed.
 
-        The products run on dense BLAS or on the CSR SpGEMM kernel, whichever
-        the density-aware dispatcher picks; both assemble identical matrices.
+        Every operand stays CSR: masks become entry filters (``A . diag(L)``
+        drops masked columns, ``diag(L) . A`` masked rows) and the additive
+        inclusion–exclusion runs as an exact COO linear combination.  The
+        four products run on dense BLAS or on the CSR SpGEMM kernel, whichever
+        the density-aware dispatcher picks for ``A @ A``; both assemble
+        identical matrices.
         """
         self._refresh_thresholds()
-        if self._adjacency_product_decision().backend == "dense":
-            self._rebuild_structures_dense()
-        else:
-            self._rebuild_structures_csr()
-
-    def _refresh_thresholds(self) -> None:
-        m = max(self._graph.num_edges, 1)
-        self._reference_m = m
-        self._theta = max(1.0, float(m) ** (1.0 / 3.0))
-
-    def _rebuild_structures_dense(self) -> None:
-        graph = self._graph
-        matrix, labels = graph.interned_adjacency_matrix()
-        n = matrix.shape[0]
-        degrees = matrix.sum(axis=1)
-        high_mask = degrees >= 2.0 * self._theta
-        low_mask = ~high_mask
-        self._high = {labels[i] for i in np.nonzero(high_mask)[0]}
-        # Count: every unordered pair with w common neighbors spans C(w, 2)
-        # 4-cycles per diagonal; the ordered-pair sum counts each cycle 4x.
-        wedge = exact_integer_matmul(matrix, matrix)
-        np.fill_diagonal(wedge, 0)
-        pairs = wedge * (wedge - 1) // 2
-        self._count = int(pairs.sum()) // 4
-        # Wedges split by their center's class.
-        low_centers = exact_integer_matmul(matrix * low_mask, matrix)
-        np.fill_diagonal(low_centers, 0)
-        self._wedges_low = CountMatrix.from_dense(low_centers, labels)
-        high_centers = wedge - low_centers  # complementary center classes
-        high_centers *= np.outer(high_mask, high_mask)
-        self._wedges_high = CountMatrix.from_dense(high_centers, labels)
-        # 3-paths with two low middles, by inclusion-exclusion on 3-walks.
-        middle = matrix * np.outer(low_mask, low_mask)
-        walks = exact_integer_matmul(exact_integer_matmul(matrix, middle), matrix)
-        low_degrees = (matrix * low_mask).sum(axis=1)
-        end_reuse = (low_mask * low_degrees)[:, None] * matrix
-        paths = walks - end_reuse - end_reuse.T + middle
-        np.fill_diagonal(paths, 0)
-        self._paths_ll = CountMatrix.from_dense(paths, labels)
-        # Four dense n x n products, charged so the ops columns stay
-        # comparable with the per-update structure_update path.
-        self.cost.charge("batch_rebuild", 4 * n * n * n)
-
-    def _rebuild_structures_csr(self) -> None:
-        """The same rebuild, entirely sparse: no dense n x n is materialized.
-
-        Masks become entry filters (``A . diag(L)`` drops masked columns,
-        ``diag(L) . A`` masked rows), the additive inclusion–exclusion runs as
-        an exact COO linear combination, and every product goes through the
-        Gustavson kernel.
-        """
+        backend = self._adjacency_product_decision().backend
         graph = self._graph
         adjacency = graph.csr_matrix()
         labels = graph.interner.labels
@@ -189,26 +139,28 @@ class HHH22Counter(DynamicFourCycleCounter):
         low_mask = ~high_mask
         self._high = {labels[i] for i in np.nonzero(high_mask)[0]}
         work = 0
-        wedge, spent = self._spgemm(adjacency, adjacency)
+        wedge, spent = self._spgemm(adjacency, adjacency, backend)
         work += spent
         wedge = wedge.without_diagonal()
+        # Count: every unordered pair with w common neighbors spans C(w, 2)
+        # 4-cycles per diagonal; the ordered-pair sum counts each cycle 4x.
         pairs = wedge.data * (wedge.data - 1) // 2
         self._count = int(pairs.sum()) // 4
         masked_columns = adjacency.filter_columns(low_mask)  # A . diag(L)
-        low_centers, spent = self._spgemm(masked_columns, adjacency)
+        low_centers, spent = self._spgemm(masked_columns, adjacency, backend)
         work += spent
         low_centers = low_centers.without_diagonal()
         self._wedges_low = CountMatrix.from_csr(low_centers, labels)
-        high_centers = (
+        high_centers = (  # complementary center classes, high endpoint pairs
             csr_linear_combination([(1, wedge), (-1, low_centers)], n, n)
             .filter_rows(high_mask)
             .filter_columns(high_mask)
         )
         self._wedges_high = CountMatrix.from_csr(high_centers, labels)
         middle = masked_columns.filter_rows(low_mask)  # diag(L) . A . diag(L)
-        inner, spent = self._spgemm(adjacency, middle)
+        inner, spent = self._spgemm(adjacency, middle, backend)
         work += spent
-        walks, spent = self._spgemm(inner, adjacency)
+        walks, spent = self._spgemm(inner, adjacency, backend)
         work += spent
         low_degrees = masked_columns.row_sums()
         end_reuse = adjacency.scale_rows(np.where(low_mask, low_degrees, 0))
@@ -216,7 +168,14 @@ class HHH22Counter(DynamicFourCycleCounter):
             [(1, walks), (-1, end_reuse), (-1, end_reuse.transpose()), (1, middle)], n, n
         ).without_diagonal()
         self._paths_ll = CountMatrix.from_csr(paths, labels)
+        # Four products, charged (n^3 each on dense, the expansion on CSR) so
+        # the ops columns stay comparable with the per-update path.
         self.cost.charge("batch_rebuild", work)
+
+    def _refresh_thresholds(self) -> None:
+        m = max(self._graph.num_edges, 1)
+        self._reference_m = m
+        self._theta = max(1.0, float(m) ** (1.0 / 3.0))
 
     # -- query ------------------------------------------------------------------
     def _three_paths(self, u: Vertex, v: Vertex) -> int:

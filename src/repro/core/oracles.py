@@ -20,6 +20,10 @@ This module defines:
   queries combine them with the signed delta edges of the recent phases.
 * :class:`OracleBackedCounter` — a general-graph 4-cycle counter driven by any
   oracle through the Section 8 reduction.
+
+Batch rebuilds are written once, on CSR operands: the counter computes
+``A @ A`` on the kernel the dispatcher picks (dense BLAS or CSR SpGEMM) and
+:meth:`ThreePathOracle.rebuild_from_mirrored` runs its own products on it.
 """
 
 from __future__ import annotations
@@ -28,19 +32,12 @@ import abc
 import math
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Set
 
-import numpy as np
-
 from repro.core.base import DynamicFourCycleCounter
 from repro.exceptions import ConfigurationError, InvalidUpdateError
-from repro.graph.static_counts import four_cycles_from_adjacency, four_cycles_from_csr_square
+from repro.graph.static_counts import four_cycles_from_csr_square
 from repro.instrumentation.cost_model import CostModel
-from repro.matmul.engine import (
-    CountMatrix,
-    CsrMatrix,
-    csr_spgemm,
-    exact_integer_matmul,
-    spgemm_work,
-)
+from repro.kernels import dense_product
+from repro.matmul.engine import CountMatrix, CsrMatrix, csr_spgemm
 from repro.matmul.scheduler import ChainProductJob, PhaseScheduler
 from repro.theory.parameters import solve_main_parameters
 
@@ -112,10 +109,14 @@ class ThreePathOracle(abc.ABC):
         #: configuration).  ``None`` means the plain serial kernel.
         self.shard_executor = None
 
-    def _spgemm(self, left: CsrMatrix, right: CsrMatrix) -> tuple[CsrMatrix, int]:
-        """``left @ right`` through the counter-installed shard executor,
-        falling back to the serial kernel when none is installed.  Both paths
-        are bit-identical; the executor is pure performance."""
+    def _spgemm(
+        self, left: CsrMatrix, right: CsrMatrix, backend: str = "csr"
+    ) -> tuple[CsrMatrix, int]:
+        """``left @ right`` on dense BLAS for ``backend="dense"``, else through
+        the counter-installed shard executor (the serial kernel when none is
+        installed).  Every path is bit-identical; the choice is pure speed."""
+        if backend == "dense":
+            return dense_product(left, right)
         if self.shard_executor is None:
             return csr_spgemm(left, right)
         return self.shard_executor.spgemm(left, right)
@@ -164,12 +165,14 @@ class ThreePathOracle(abc.ABC):
         amortized cost accounting does, so deferring them to the boundary is
         safe."""
 
-    def rebuild_from_mirrored_graph(
+    def rebuild_from_mirrored(
         self,
         graph: "DynamicGraph",
-        matrix: np.ndarray,
+        adjacency: CsrMatrix,
         labels: List[Vertex],
-        square: Optional[np.ndarray] = None,
+        square: CsrMatrix,
+        square_work: int,
+        backend: str,
     ) -> None:
         """Reset the oracle to mirror ``graph`` under the Section 8 reduction.
 
@@ -177,33 +180,12 @@ class ThreePathOracle(abc.ABC):
         window to the graph in bulk and then calls this instead of replaying
         the per-tuple hooks: all three chain relations are rebuilt to equal
         the graph's adjacency (both orientations), and subclasses extend it to
-        rebuild their auxiliary structures with vectorized kernels over the
-        interned adjacency ``matrix`` (in ``labels`` order; ``square`` is
-        ``matrix @ matrix`` when the caller already has it).  Only valid in
-        the mirrored setting where ``A = B = C =`` the adjacency matrix.
+        rebuild their auxiliary structures.  ``adjacency`` is the interned CSR
+        adjacency (``labels`` order) and ``square`` its self-product, computed
+        at cost ``square_work`` on ``backend``, the dispatched kernel that
+        subclasses reuse.  Only valid in the mirrored setting ``A = B = C``.
         """
-        del matrix, labels, square  # vectorized kernels live in subclasses
-        self._rebuild_mirrored_relations(graph)
-
-    def rebuild_from_mirrored_csr(
-        self,
-        graph: "DynamicGraph",
-        adjacency: CsrMatrix,
-        labels: List[Vertex],
-        square: CsrMatrix,
-    ) -> None:
-        """Sparse twin of :meth:`rebuild_from_mirrored_graph`.
-
-        ``adjacency`` is the graph's interned CSR adjacency and ``square`` its
-        SpGEMM self-product; subclasses rebuild their auxiliary structures
-        from them without ever materializing a dense ``n x n`` array — the
-        path the density-aware dispatcher takes on sparse graphs.
-        """
-        del adjacency, labels, square  # sparse kernels live in subclasses
-        self._rebuild_mirrored_relations(graph)
-
-    def _rebuild_mirrored_relations(self, graph: "DynamicGraph") -> None:
-        """Reset all three chain relations to mirror the graph's adjacency."""
+        del adjacency, labels, square, square_work, backend  # used by subclasses
         for position in CHAIN_POSITIONS:
             relation = _ChainRelation()
             # Forward and backward maps (and each relation) need independent
@@ -440,60 +422,30 @@ class PhaseThreePathOracle(ThreePathOracle):
         self._phases_completed += 1
         self._start_phase()
 
-    def rebuild_from_mirrored_graph(
-        self,
-        graph: "DynamicGraph",
-        matrix: np.ndarray,
-        labels: List[Vertex],
-        square: Optional[np.ndarray] = None,
-    ) -> None:
-        """Bulk mirror rebuild plus a vectorized phase synchronization.
-
-        Instead of letting the scheduler spread the old-phase products over
-        the next phase, the products of the *current* snapshot are computed
-        immediately with dense BLAS products (in the mirrored setting
-        ``A = B = C``, so ``AB = BC = A^2`` and ``ABC = A^3``) and promoted,
-        and every delta store is cleared: queries right after the batch
-        boundary answer from the triple product alone.  This is a legal phase
-        boundary — the oracle is exact against *any* snapshot plus its deltas,
-        and here the deltas are simply empty.
-        """
-        super().rebuild_from_mirrored_graph(graph, matrix, labels, square)
-        if square is None:
-            square = exact_integer_matmul(matrix, matrix)
-        cube = exact_integer_matmul(square, matrix)
-        n = matrix.shape[0]
-        self._promote_mirrored_products(
-            CountMatrix.from_dense(square, labels),
-            CountMatrix.from_dense(cube, labels),
-            work=2 * n * n * n,
-        )
-
-    def rebuild_from_mirrored_csr(
+    def rebuild_from_mirrored(
         self,
         graph: "DynamicGraph",
         adjacency: CsrMatrix,
         labels: List[Vertex],
         square: CsrMatrix,
+        square_work: int,
+        backend: str,
     ) -> None:
-        """Sparse bulk rebuild: the same phase synchronization, no dense array.
+        """Bulk mirror rebuild plus an immediate phase synchronization.
 
-        The promoted products come from the SpGEMM kernel (``AB = BC = A^2``,
-        ``ABC = A^3`` in the mirrored setting); everything else matches
-        :meth:`rebuild_from_mirrored_graph`.
+        Instead of letting the scheduler spread the old-phase products over
+        the next phase, the products of the *current* snapshot are computed
+        immediately (in the mirrored setting ``A = B = C``, so
+        ``AB = BC = A^2`` and ``ABC = A^3``) and promoted, and every delta
+        store is cleared: queries right after the batch boundary answer from
+        the triple product alone.  This is a legal phase boundary — the
+        oracle is exact against *any* snapshot plus its deltas, and here the
+        deltas are simply empty.
         """
-        super().rebuild_from_mirrored_csr(graph, adjacency, labels, square)
-        cube, work = self._spgemm(square, adjacency)
-        self._promote_mirrored_products(
-            CountMatrix.from_csr(square, labels),
-            CountMatrix.from_csr(cube, labels),
-            work=work + spgemm_work(adjacency, adjacency),
-        )
-
-    def _promote_mirrored_products(
-        self, product_square: CountMatrix, product_cube: CountMatrix, work: int
-    ) -> None:
-        """Install freshly computed mirrored products and open a new phase."""
+        super().rebuild_from_mirrored(graph, adjacency, labels, square, square_work, backend)
+        cube, cube_work = self._spgemm(square, adjacency, backend)
+        product_square = CountMatrix.from_csr(square, labels)
+        product_cube = CountMatrix.from_csr(cube, labels)
         self._product_ab = product_square
         self._product_bc = product_square
         self._product_abc = product_cube
@@ -504,7 +456,7 @@ class PhaseThreePathOracle(ThreePathOracle):
         # The new phase's snapshot is the one just multiplied: its products
         # enter the scheduler finished, and the phase end re-promotes them.
         self._start_phase(products=(product_square, product_square, product_cube))
-        self.cost.charge("batch_rebuild", work)
+        self.cost.charge("batch_rebuild", square_work + cube_work)
 
     def _compute_phase_length(self) -> int:
         if self._fixed_phase_length is not None:
@@ -602,41 +554,27 @@ class OracleBackedCounter(DynamicFourCycleCounter):
 
         The per-update path mirrors every edge into six relation updates, each
         firing the oracle's Python maintenance hooks.  For a large window it
-        is cheaper to apply the net updates to the graph in bulk, rebuild the
-        oracle from the mirrored graph with matrix kernels
-        (:meth:`ThreePathOracle.rebuild_from_mirrored_graph` on the dense
-        path, :meth:`ThreePathOracle.rebuild_from_mirrored_csr` on the sparse
-        one — the density-aware dispatcher picks), and take the exact boundary
-        count from the closed-walk trace formula over the same adjacency.
+        is cheaper to apply the net updates to the graph in bulk, compute
+        ``A @ A`` once on the kernel the density-aware dispatcher picks,
+        rebuild the oracle from it (:meth:`ThreePathOracle.rebuild_from_mirrored`,
+        whose own products run on the same kernel), and take the exact
+        boundary count from the closed-walk trace formula over the same
+        square.
         """
         if len(batch) < self.batch_fast_path_threshold or not self._graph.is_interned:
             return False
-        self._graph.apply_batch(batch)
-        if self._graph.num_edges == 0:
-            # Degenerate empty graph: both kernels reduce to clearing state.
-            matrix, labels = self._graph.interned_adjacency_matrix()
-            self._oracle.rebuild_from_mirrored_graph(self._graph, matrix, labels)
-            self._count = 0
-            return True
-        decision = self._adjacency_product_decision()
-        if decision.backend == "dense":
-            matrix, labels = self._graph.interned_adjacency_matrix()
-            square = exact_integer_matmul(matrix, matrix)
-            self._oracle.rebuild_from_mirrored_graph(self._graph, matrix, labels, square=square)
-            self._count = four_cycles_from_adjacency(
-                matrix, self._graph.num_edges, square=square
-            )
-            n = matrix.shape[0]
-            self.cost.charge("batch_recount", n * n * n)
-        else:
-            adjacency = self._graph.csr_matrix()
-            square, work = self._spgemm(adjacency, adjacency)
-            labels = self._graph.interner.labels
-            self._oracle.rebuild_from_mirrored_csr(self._graph, adjacency, labels, square)
-            self._count = four_cycles_from_csr_square(
-                square, adjacency.row_lengths(), self._graph.num_edges
-            )
-            self.cost.charge("batch_recount", work)
+        graph = self._graph
+        graph.apply_batch(batch)
+        backend = self._adjacency_product_decision().backend
+        adjacency = graph.csr_matrix()
+        square, work = self._spgemm(adjacency, adjacency, backend)
+        self._oracle.rebuild_from_mirrored(
+            graph, adjacency, graph.interner.labels, square, work, backend
+        )
+        self._count = four_cycles_from_csr_square(
+            square, adjacency.row_lengths(), graph.num_edges
+        )
+        self.cost.charge("batch_recount", work)
         return True
 
     def _three_paths(self, u: Vertex, v: Vertex) -> int:

@@ -230,3 +230,14 @@ register_spec(
         options=_phase_options() + (OptionSpec("eps", None, "degree-class exponent eps (default: solved)"),),
     )
 )
+
+#: The built-in counters' names.  Experiments that sweep "every counter" (E4,
+#: E10) default to this tuple, not to the live registry, so a spec registered
+#: at run time (by a test or a plugin) never adds rows to their artifacts.
+BUILTIN_COUNTER_NAMES: Tuple[str, ...] = (
+    BruteForceCounter.name,
+    WedgeCounter.name,
+    HHH22Counter.name,
+    PhaseFMMCounter.name,
+    AssadiShahCounter.name,
+)

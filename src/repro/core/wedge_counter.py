@@ -7,16 +7,17 @@ Lemma A.1.  The distinctness argument of Claim A.3 — every 3-walk counted is a
 genuine 3-path because the updated edge is absent at query time — is inherited
 from the base-class ordering.
 
-Batched windows take one of three fast paths, chosen by cost estimates:
+Batched windows take one of two fast paths, chosen by cost estimates:
 
 * **incremental** — the wedge delta ``ΔW = ΔA·A_new + A_old·ΔA`` is computed
   over only the rows the batch touches (``ΔA`` extracted from the normalized
   batch through the interner) and merged into the maintained matrix in place;
-* **CSR rebuild** — one sparse ``A @ A`` through the Gustavson SpGEMM kernel;
-* **dense rebuild** — one BLAS ``A @ A`` over the interned adjacency matrix.
+* **rebuild** — one ``A @ A`` of the CSR adjacency, on dense BLAS or on the
+  Gustavson SpGEMM kernel, whichever the dispatcher picks.
 
-All three end bit-identical to the per-update path; the dispatch is pure
-performance.
+Both end bit-identical to the per-update path; the dispatch is pure
+performance.  Without interning, the batch hook is the original dense rebuild
+over the label-sorted adjacency matrix (the scalar reference).
 """
 
 from __future__ import annotations
@@ -104,11 +105,8 @@ class WedgeCounter(DynamicFourCycleCounter):
         decision = self._adjacency_product_decision()
         if self._choose_incremental(batch, decision):
             self._apply_incremental_delta(batch)
-        elif decision.backend == "dense":
-            matrix, order = self._graph.interned_adjacency_matrix()
-            self._rebuild_dense(matrix, order)
         else:
-            self._rebuild_csr()
+            self._rebuild(decision.backend)
         return True
 
     def _choose_incremental(self, batch: UpdateBatch, decision) -> bool:
@@ -198,10 +196,10 @@ class WedgeCounter(DynamicFourCycleCounter):
             "batch_incremental", work_new + work_delta + wedge_delta.nnz
         )
 
-    def _rebuild_csr(self) -> None:
-        """Full rebuild through the sparse SpGEMM kernel (no dense n x n)."""
+    def _rebuild(self, backend: str) -> None:
+        """Full rebuild: one ``A @ A`` of the CSR adjacency on ``backend``."""
         adjacency = self._graph.csr_matrix()
-        wedge, work = self._spgemm(adjacency, adjacency)
+        wedge, work = self._spgemm(adjacency, adjacency, backend)
         wedge = wedge.without_diagonal()
         self._wedges = CountMatrix.from_csr(wedge, self._graph.interner.labels)
         pairs = wedge.data * (wedge.data - 1) // 2
@@ -209,7 +207,7 @@ class WedgeCounter(DynamicFourCycleCounter):
         self.cost.charge("batch_rebuild", work)
 
     def _rebuild_dense(self, matrix: np.ndarray, order) -> None:
-        """Full rebuild through one dense BLAS product."""
+        """Full rebuild through one dense BLAS product (scalar graphs only)."""
         n = matrix.shape[0]
         wedge = exact_integer_matmul(matrix, matrix)
         np.fill_diagonal(wedge, 0)

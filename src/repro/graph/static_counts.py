@@ -54,30 +54,24 @@ def four_cycles_from_csr_square(square, degrees: np.ndarray, num_edges: int) -> 
     return remaining // 8
 
 
-def closed_four_walks_from_adjacency(
-    matrix: np.ndarray, square: np.ndarray | None = None
-) -> int:
+def closed_four_walks_from_adjacency(matrix: np.ndarray) -> int:
     """``tr(A^4)`` for a symmetric 0/1 adjacency matrix.
 
     Computed as the squared Frobenius norm of ``A^2`` — one dense product
-    instead of the two a literal fourth power costs.  ``square`` short-cuts
-    callers that already hold ``A^2``.
+    instead of the two a literal fourth power costs.
     """
-    if square is None:
-        square = exact_integer_matmul(matrix, matrix)
+    square = exact_integer_matmul(matrix, matrix)
     return int((square * square).sum())
 
 
-def four_cycles_from_adjacency(
-    matrix: np.ndarray, num_edges: int, square: np.ndarray | None = None
-) -> int:
+def four_cycles_from_adjacency(matrix: np.ndarray, num_edges: int) -> int:
     """Exact 4-cycle count from a symmetric 0/1 adjacency matrix.
 
-    The closed-walk trace formula shared by every vectorized recount path
-    (brute-force and counter batch hooks, static validation):
+    The dense closed-walk trace formula (static validation and the
+    brute-force counter's recount):
     ``C4 = (tr(A^4) - 2 m - 2 * sum_v deg(v) (deg(v) - 1)) / 8``.
     """
-    walk_count = closed_four_walks_from_adjacency(matrix, square)
+    walk_count = closed_four_walks_from_adjacency(matrix)
     degrees = matrix.sum(axis=1)
     degenerate = 2 * num_edges + 2 * int(np.sum(degrees * (degrees - 1)))
     remaining = walk_count - degenerate

@@ -250,3 +250,31 @@ def exact_integer_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         product = left.astype(np.float64) @ right.astype(np.float64)
         return np.rint(product).astype(np.int64)
     return left @ right
+
+
+def dense_product(left: CsrMatrix, right: CsrMatrix) -> tuple[CsrMatrix, int]:
+    """``left @ right`` on dense BLAS; returns ``(product, work)`` like the
+    SpGEMM kernel.
+
+    Both operands are scattered to dense arrays, multiplied by
+    :func:`exact_integer_matmul`, and the product is read back as CSR (the
+    flat non-zero positions are row-major, so already in CSR order).
+    ``work`` is the dense cube ``rows * middles * columns``.
+    """
+    if left.num_cols != right.num_rows:
+        raise DimensionMismatchError(
+            f"cannot multiply {left.num_rows}x{left.num_cols} "
+            f"by {right.num_rows}x{right.num_cols}"
+        )
+    product = exact_integer_matmul(left.to_dense(), right.to_dense())
+    nonzero = product != 0
+    positions = np.flatnonzero(nonzero)
+    indptr = np.zeros(left.num_rows + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
+    result = CsrMatrix(
+        indptr=indptr,
+        cols=positions % max(right.num_cols, 1),
+        data=product.ravel()[positions],
+        num_cols=right.num_cols,
+    )
+    return result, left.num_rows * left.num_cols * right.num_cols

@@ -31,12 +31,15 @@ Multiplication can run on three backends:
 
 The positional (integer-indexed) :class:`CsrMatrix` value type and the
 :func:`csr_spgemm` kernel underneath :class:`CsrBackend` are also used
-directly by the counters' batched rebuild hooks, which dispatch between the
-dense and CSR kernels through
-:class:`repro.matmul.scheduler.ProductDispatcher`, and by the phase
-scheduler's :class:`repro.matmul.scheduler.IncrementalMatrixProduct`, which
-multiplies one block of rows per call.  Both align the middle axis of a
-labelled product with :func:`middle_positions`.
+directly by the counters' batched rebuild hooks and by ``recount()``.  Their
+operands are always CSR; one dispatch per rebuild
+(:class:`repro.matmul.scheduler.ProductDispatcher`) picks whether those
+operands are multiplied by :func:`csr_spgemm` or by
+:func:`repro.kernels.dense_product` (dense BLAS behind the same CSR-in,
+CSR-out signature).  The phase scheduler's
+:class:`repro.matmul.scheduler.IncrementalMatrixProduct` multiplies one block
+of rows per :func:`csr_spgemm` call; it and :class:`CsrBackend` align the
+middle axis of a labelled product with :func:`middle_positions`.
 
 :class:`MatmulEngine` picks a backend (or honours an explicit choice) and
 reports the work it performed to an optional cost callback, which the
@@ -899,13 +902,11 @@ class MatmulEngine:
     :func:`repro.matmul.omega.product_cost_estimates`: tiny products stay on
     the dict backend (no numpy launch overhead), sparse products go through
     the CSR SpGEMM kernel, and products dense enough that the BLAS cube wins
-    go dense.  ``dense_threshold`` scales the dense estimate (values above 1.0
-    bias the choice away from dense).  The counters pass ``backend="dense"``
+    go dense.  The counters pass ``backend="dense"``
     explicitly for the old-phase products — the whole point of the paper is
     that those products go through fast matrix multiplication.
     """
 
-    dense_threshold: float = 1.0
     cost_callback: Optional[CostCallback] = None
     _sparse: SparseBackend = field(default_factory=SparseBackend)
     _dense: DenseBackend = field(default_factory=DenseBackend)
@@ -950,10 +951,9 @@ class MatmulEngine:
         if rows * middles * columns == 0:
             return self._sparse
         costs = product_cost_estimates(rows, middles, columns, expansion)
-        dense_cost = self.dense_threshold * costs["dense"]
-        if costs["sparse"] <= min(costs["csr"], dense_cost):
+        if costs["sparse"] <= min(costs["csr"], costs["dense"]):
             return self._sparse
-        if costs["csr"] <= dense_cost:
+        if costs["csr"] <= costs["dense"]:
             return self._csr
         return self._dense
 

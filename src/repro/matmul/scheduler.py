@@ -26,9 +26,11 @@ This module provides the machinery:
 * :class:`PhaseScheduler` — a queue of jobs advanced by a fixed per-update
   work budget; the counters call :meth:`PhaseScheduler.work` once per update.
 * :class:`ProductDispatcher` — the density-aware dense-BLAS versus CSR-SpGEMM
-  decision the counters' batched rebuild hooks route their whole-graph
-  products through, built on the constant-aware cost model of
-  :mod:`repro.matmul.omega`.
+  decision, built on the constant-aware cost model of
+  :mod:`repro.matmul.omega`.  Each batch rebuild and each ``recount()``
+  makes one decision for ``A @ A`` and runs every product it needs on the
+  chosen kernel; the operands are CSR either way
+  (:func:`repro.kernels.dense_product` is the dense kernel).
 
 The scheduler is deliberately agnostic about what the products mean; the
 counters decide which snapshots to multiply and read the results once
@@ -473,8 +475,6 @@ class ProductDispatcher:
     """
 
     backend: str = "auto"
-    #: Bias applied to the dense estimate; > 1.0 steers the tie region to CSR.
-    dense_bias: float = 1.0
     #: Never densify matrices with more cells than this in automatic mode
     #: (2^24 int64 cells = 128 MB per operand).
     dense_cells_limit: int = 1 << 24
@@ -509,7 +509,7 @@ class ProductDispatcher:
         largest_cells = max(rows * middles, middles * columns, rows * columns)
         if largest_cells > self.dense_cells_limit:
             return ProductDecision(backend="csr", costs=costs)
-        if costs["csr"] <= self.dense_bias * costs["dense"]:
+        if costs["csr"] <= costs["dense"]:
             return ProductDecision(backend="csr", costs=costs)
         return ProductDecision(backend="dense", costs=costs)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import (
+    BUILTIN_COUNTER_NAMES,
     CounterSpec,
     OptionSpec,
     available_counter_names,
@@ -130,3 +131,13 @@ class TestRegistrationIsolation:
         assert self.PROBE not in names
         assert "api-test-counter" not in names
         assert set(BUILTINS).issubset(names)
+
+    def test_runtime_registration_adds_no_e10_row(self):
+        from repro.analysis.experiments import experiment_e10_batch_throughput
+
+        register_spec(CounterSpec.from_factory(self.PROBE, WedgeCounter))
+        assert sorted(BUILTIN_COUNTER_NAMES) == sorted(BUILTINS)
+        rows = experiment_e10_batch_throughput(
+            num_vertices=8, num_updates=40, batch_sizes=(1, 40)
+        )
+        assert sorted({row.counter for row in rows}) == sorted(BUILTINS)

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.kernels import dense_product
 from repro.matmul.engine import (
     CountMatrix,
     CsrBackend,
@@ -78,6 +79,33 @@ def test_row_blocking_never_changes_the_product(left, right, block_entries):
     expected, _ = SparseBackend().multiply(left, right)
     blocked, _ = CsrBackend(block_entries=block_entries).multiply(left, right)
     assert blocked == expected
+
+
+def _positional(matrix: CountMatrix, rows: int, columns: int) -> CsrMatrix:
+    """``matrix`` (labels ``<prefix><index>``) as a ``rows x columns`` CsrMatrix."""
+    triples = [(int(r[1:]), int(c[1:]), value) for r, c, value in matrix.items()]
+    if not triples:
+        return CsrMatrix.empty(rows, columns)
+    row_ids, col_ids, data = (np.array(part, dtype=np.int64) for part in zip(*triples))
+    return CsrMatrix.from_coo(row_ids, col_ids, data, rows, columns)
+
+
+@PROPERTY_SETTINGS
+@given(
+    left=entries_strategy("r", "m", max_dim=5),
+    right=entries_strategy("m", "c", max_dim=7),
+)
+def test_dense_product_matches_spgemm(left, right):
+    """The dense kernel takes and returns CSR: same product, cube work."""
+    left_csr, right_csr = _positional(left, 5, 7), _positional(right, 7, 7)
+    product, work = dense_product(left_csr, right_csr)
+    expected, _ = csr_spgemm(left_csr, right_csr)
+    assert work == 5 * 7 * 7
+    for field in ("indptr", "cols", "data"):
+        assert np.array_equal(getattr(product, field), getattr(expected, field)), field
+    assert product.num_cols == expected.num_cols
+    with pytest.raises(DimensionMismatchError):
+        dense_product(left_csr, left_csr)
 
 
 @PROPERTY_SETTINGS
